@@ -30,17 +30,17 @@ the first query after every mutation + full cache clears), plus the
 GoldFinger recall gap with and without ``rerank="exact"``. Acceptance
 (full run, 5k users): per-mutation reverse-maintenance cost ≥ 5× lower
 than the rebuild path, recall@10 ≥ 0.9 after the write tape, and exact
-re-ranking within 1 point of an exact-backend walk. ``--shards N``
-serves batches through a ``ShardedQueryEngine`` with N thread workers.
+re-ranking within 1 point of an exact-backend walk.
 
-``--replicas N`` serves through N per-shard replica indexes converging
-by shipped journal deltas; combined with ``--mixed`` it runs the
-replica-tier benchmark (see ``run_replicas``) whose acceptance gate
-(full run, 5k users, 4 replicas) demands delta-only convergence with
-zero snapshot re-forks, recall@10 ≥ 0.9 through the replicas after the
-churn, and ≥ 1.5× the throughput of the single-shard PR-3 path of the
-same transport (for the default process transport: the snapshot worker
-that re-forks the whole pickled index after every mutation).
+``--replicas N`` answers cache misses on N replica indexes converging
+by shipped journal deltas (``QueryEngine(index,
+searcher=ReplicaSet(index, N))``); combined with ``--mixed`` it runs
+the replica-tier benchmark (see ``run_replicas``) whose acceptance
+gate (full run, 5k users) demands delta-only convergence with zero
+resyncs, recall@10 ≥ 0.9 through the replicas after the churn, and ≥
+1.5× the throughput of the serial ``QueryEngine`` on the same host
+(the artifact records ``n_cores``; a tier that cannot beat serial
+there says so with a FAIL verdict).
 
 ``--scenario <name>`` runs the drift benchmark (see ``run_scenario``):
 one scenario from the adversarial/time-evolving suite
@@ -97,12 +97,7 @@ from repro.data import SyntheticSpec, generate
 from repro.data.dataset import Dataset
 from repro.online import OnlineIndex
 from repro.persist import DurableIndex
-from repro.serve import (
-    GraphSearcher,
-    QueryEngine,
-    ShardedQueryEngine,
-    brute_force_top_k,
-)
+from repro.serve import GraphSearcher, QueryEngine, ReplicaSet, brute_force_top_k
 from repro.serve.replica import edge_digest
 from repro.similarity import make_engine
 
@@ -167,31 +162,25 @@ def _searcher_kwargs(args, budget: int) -> dict:
 
 
 def run_replicas(args) -> int:
-    """The replica-tier benchmark: one mixed tape, four serving tiers.
+    """The replica-tier benchmark: one mixed tape, two serving tiers.
 
-    The same deterministic 90/10 op tape is served four ways:
+    The same deterministic 90/10 op tape is served two ways:
 
-    1. **single engine, serial** — the PR-3 thread-transport
-       single-shard path: one ``QueryEngine``, reads and writes
-       strictly interleaved;
-    2. **single process shard** — the PR-3 process-transport
-       single-shard path: a snapshot worker that **re-forks** the
-       whole pickled index on the first query after every mutation;
-    3. **shared-index shards, concurrent** — ``ShardedQueryEngine``
-       without replicas: N reader threads walk one shared graph under
-       the index RWLock while the writer mutates;
-    4. **replica tier, concurrent** — ``--replicas N`` per-shard
-       replica indexes converging by shipped journal deltas; readers
-       never touch the primary's lock and **nothing re-forks**.
+    1. **serial engine** — one ``QueryEngine`` with its own
+       ``GraphSearcher``, reads and writes strictly interleaved on one
+       thread: the simplest alternative every other mode must beat;
+    2. **replica tier, concurrent** — one ``QueryEngine`` whose misses
+       go to ``ReplicaSet(index, N)``: N reader threads share the
+       engine while the writer mutates the primary, and each miss
+       walks the next replica round-robin, never touching the
+       primary's lock.
 
     Afterwards the replica tier must have converged purely by deltas
     (``resyncs == 0``), answer held-out queries at recall@k ≥ 0.9
-    against brute force on the churned index, and beat the
-    single-shard path **of its own transport** by ≥ 1.5× — process
-    replicas against the re-forking snapshot worker (the follow-up
-    this tier exists to fix), thread replicas against the serial
-    engine (a multi-core win: thread concurrency is pure overhead on
-    a single-core host, so the run reports core count alongside).
+    against brute force on the churned index, and beat the serial
+    engine on the same host by ≥ 1.5×. Thread concurrency is pure
+    overhead on a single core, so the run records the core count next
+    to the verdict.
     """
     n_users = args.users or (400 if args.smoke else 5000)
     n_queries = args.queries or (40 if args.smoke else 300)
@@ -214,7 +203,7 @@ def run_replicas(args) -> int:
         return index
 
     def drive_serial(make_engine):
-        """The tape exactly as PR 3 serves it: one engine, one thread."""
+        """The tape on one engine, one thread."""
         index = fresh_index()
         engine = make_engine(index)
         rng_q = np.random.default_rng(args.seed + 17)
@@ -282,26 +271,16 @@ def run_replicas(args) -> int:
             searcher=GraphSearcher(index, **kwargs),
         )
     )
-    _, _, wall_proc1, stats_proc1 = drive_serial(
-        lambda index: ShardedQueryEngine(
-            index, 1, k=args.topk, invalidation="partial",
-            executor="process", searcher_kwargs=kwargs,
-        )
-    )
-    _, shared_engine, wall_shared, stats_shared = drive_concurrent(
-        lambda index: ShardedQueryEngine(
-            index, n_replicas, k=args.topk, invalidation="partial",
-            searcher_kwargs=kwargs,
-        )
-    )
-    shared_engine.close()
     index_rep, engine_rep, wall_rep, stats_rep = drive_concurrent(
-        lambda index: ShardedQueryEngine(
-            index, n_replicas, k=args.topk, invalidation="partial",
-            replicas=True, routing=args.routing,
-            executor=args.replica_executor, searcher_kwargs=kwargs,
+        lambda index: QueryEngine(
+            index, k=args.topk, invalidation="partial",
+            searcher=ReplicaSet(
+                index, n_replicas, mode=args.replica_executor,
+                searcher_kwargs=kwargs,
+            ),
         )
     )
+    replica_set = engine_rep.searcher
 
     # Post-tape repair: departures left rows one edge short (the lazy
     # refill contract) — a production tier runs the repairs off-peak.
@@ -313,9 +292,8 @@ def run_replicas(args) -> int:
         n_repaired += 1
 
     # Post-tape correctness: the tier converged by deltas alone (zero
-    # snapshot re-forks), and held-out queries through the replicas
-    # match brute force on the churned primary at serving recall.
-    replica_set = engine_rep.replica_set
+    # resyncs), and held-out queries through the replicas match brute
+    # force on the churned primary at serving recall.
     converged = replica_set.converged()
     tier_stats = replica_set.stats()
     resyncs = tier_stats["resyncs_total"]  # repair deltas included
@@ -329,7 +307,9 @@ def run_replicas(args) -> int:
     # The aggregated tier dashboard (recall probe included): what the
     # replicas' own engines spent serving, per replica and in total.
     tier_serving = replica_set.stats()["serving"]
+    lag = replica_set.lag()
     engine_rep.close()
+    replica_set.close()
 
     def tier_row(label, wall, stats):
         reads = stats["queries_total"]
@@ -344,25 +324,16 @@ def run_replicas(args) -> int:
     rows = [
         tier_row(
             f"replica tier ({n_replicas}x {args.replica_executor}, "
-            f"{args.routing})",
+            f"{n_replicas} reader threads)",
             wall_rep, stats_rep,
         ),
-        tier_row(
-            f"shared-index shards ({n_replicas} threads)", wall_shared,
-            stats_shared,
-        ),
-        tier_row("single engine (serial tape, PR 3)", wall_serial, stats_serial),
-        tier_row(
-            f"single process shard ({stats_proc1['reforks_total']} snapshot "
-            "re-forks, PR 3)",
-            wall_proc1, stats_proc1,
-        ),
+        tier_row("serial QueryEngine (one thread)", wall_serial, stats_serial),
     ]
     conv_rows = [{
         "Deltas shipped": shipped,
-        "Resyncs (re-forks)": resyncs,
+        "Resyncs": resyncs,
         "Rows repaired": n_repaired,
-        "Replica lag": stats_rep["replica_lag"],
+        "Replica lag": lag,
         "Converged (edge digests)": "yes" if converged else "NO",
         f"Recall@{args.topk} after churn": f"{recall:.3f}",
         "Tier evals (aggregated)": tier_serving["evaluations"],
@@ -372,18 +343,13 @@ def run_replicas(args) -> int:
     header = (
         f"Replica tier: {n_ops}-op mixed tape ({n_writes} writes) over "
         f"{n_users} users, {n_replicas} replicas "
-        f"({args.replica_executor}, routing={args.routing}, k={args.topk}, "
+        f"({args.replica_executor}, k={args.topk}, "
         f"ef={args.ef}, budget={budget}, {n_cores} cores); recall sample "
         f"{len(sample)} held-out queries after the churn"
     )
-    # Like against like: each transport's single-shard PR-3 path is the
-    # baseline its replica tier must beat (process replicas fix the
-    # snapshot re-fork storm; thread replicas buy multi-core overlap).
-    if args.replica_executor == "process":
-        base_label, wall_base = "single process shard", wall_proc1
-    else:
-        base_label, wall_base = "serial single engine", wall_serial
-    speedup = wall_base / wall_rep
+    # The serial in-process engine on the same host is the baseline
+    # every serving mode must beat to earn its keep.
+    speedup = wall_serial / wall_rep
     blocks = [header, rows, conv_rows]
     metrics = {
         "mode": "replicas",
@@ -392,13 +358,9 @@ def run_replicas(args) -> int:
         "n_cores": int(n_cores),
         "replicas": n_replicas,
         "replica_executor": args.replica_executor,
-        "routing": args.routing,
         "ops_s_serial": round(n_ops / wall_serial, 1),
-        "ops_s_single_process": round(n_ops / wall_proc1, 1),
-        "single_process_reforks": stats_proc1["reforks_total"],
-        "ops_s_shared": round(n_ops / wall_shared, 1),
         "ops_s_replicas": round(n_ops / wall_rep, 1),
-        "speedup_vs_single_shard": round(speedup, 2),
+        "speedup_vs_serial": round(speedup, 2),
         "deltas_shipped": shipped,
         "resyncs": resyncs,
         "converged": bool(converged),
@@ -420,11 +382,10 @@ def run_replicas(args) -> int:
 
     ok = converged and resyncs == 0 and recall >= 0.9 and speedup >= 1.5
     blocks.append(
-        f"acceptance: converged={converged} with {resyncs} resyncs (=0, "
-        f"vs {stats_proc1['reforks_total']} single-shard snapshot re-forks), "
+        f"acceptance: converged={converged} with {resyncs} resyncs (=0), "
         f"recall@{args.topk}={recall:.3f} (>=0.9), "
-        f"throughput {speedup:.2f}x the {base_label} "
-        f"({args.replica_executor} transport, >=1.5x) "
+        f"throughput {speedup:.2f}x the serial QueryEngine "
+        f"({args.replica_executor} transport, {n_cores} cores, >=1.5x) "
         f"-> {'PASS' if ok else 'FAIL'}"
     )
     metrics["acceptance"] = bool(ok)
@@ -817,16 +778,10 @@ def run_mixed(args) -> int:
         kwargs = _searcher_kwargs(args, budget)
         if mode == "incremental":
             index.reverse_index()  # prime: maintained from the first write on
-            if args.shards > 1:
-                engine = ShardedQueryEngine(
-                    index, args.shards, k=args.topk,
-                    invalidation="partial", searcher_kwargs=kwargs,
-                )
-            else:
-                engine = QueryEngine(
-                    index, k=args.topk, invalidation="partial",
-                    searcher=GraphSearcher(index, **kwargs),
-                )
+            engine = QueryEngine(
+                index, k=args.topk, invalidation="partial",
+                searcher=GraphSearcher(index, **kwargs),
+            )
         else:
             engine = QueryEngine(
                 index, k=args.topk, invalidation="full",
@@ -990,7 +945,7 @@ def run_mixed(args) -> int:
     header = (
         f"Mixed workload: {n_ops} ops ({workload.read_fraction:.0%} reads, "
         f"{n_writes} writes) over {n_users} users "
-        f"(k={args.topk}, ef={args.ef}, budget={budget}, shards={args.shards}); "
+        f"(k={args.topk}, ef={args.ef}, budget={budget}); "
         f"{n_probe} probe mutations; recall sample {len(sample)} queries "
         f"after the same write churn"
     )
@@ -999,7 +954,6 @@ def run_mixed(args) -> int:
         "mode": "mixed",
         "n_users": n_users,
         "n_ops": n_ops,
-        "shards": args.shards,
         "ops_s_incremental": round(n_ops / wall_inc, 1),
         "ops_s_rebuild": round(n_ops / wall_reb, 1),
         "metrics_overhead_pct": round(overhead_pct, 2),
@@ -1068,21 +1022,16 @@ def main(argv=None) -> int:
                         help="mixed mode: operations in the 90/10 tape")
     parser.add_argument("--mutations", type=int, default=None,
                         help="mixed mode: probe mutations for the cost table")
-    parser.add_argument("--shards", type=int, default=1,
-                        help="serve batches through a ShardedQueryEngine with N workers")
     parser.add_argument("--replicas", type=int, default=0,
-                        help="serve through N per-shard replica indexes fed by "
+                        help="answer cache misses on N replica indexes fed by "
                              "journal-delta shipping (with --mixed: the "
-                             "replica-tier throughput/convergence benchmark)")
-    parser.add_argument("--routing", default="round_robin",
-                        choices=["round_robin", "least_loaded", "hash"],
-                        help="replica miss-routing policy")
+                             "replica-tier throughput/convergence benchmark "
+                             "against the serial engine)")
     parser.add_argument("--replica-executor", default="process",
                         choices=["thread", "process"],
-                        help="replica transport (pinned worker pools fed a "
-                             "pickled delta queue — the default, whose "
-                             "single-shard baseline is the PR-3 re-forking "
-                             "snapshot worker — or in-process thread clones)")
+                        help="replica transport: pinned worker pools fed a "
+                             "pickled delta queue (default) or in-process "
+                             "thread clones")
     parser.add_argument("--topk", type=int, default=10)
     parser.add_argument("--ef", type=int, default=32)
     parser.add_argument("--per-config", type=int, default=16)
@@ -1131,21 +1080,17 @@ def main(argv=None) -> int:
     frac = float(np.mean(evals)) / n_users
 
     # --- batched QPS: cold (all unique) and warm (repeats) ------------
+    replicas = None
+    if args.replicas > 0:
+        replicas = ReplicaSet(
+            index, args.replicas, mode=args.replica_executor,
+            searcher_kwargs=_searcher_kwargs(args, budget),
+        )
+
     def front_end(cache_size: int):
-        if args.replicas > 0:
-            return ShardedQueryEngine(
-                index, args.replicas, k=args.topk, cache_size=cache_size,
-                replicas=True, routing=args.routing,
-                executor=args.replica_executor,
-                searcher_kwargs=_searcher_kwargs(args, budget),
-            )
-        if args.shards > 1:
-            return ShardedQueryEngine(
-                index, args.shards, k=args.topk, cache_size=cache_size,
-                searcher_kwargs=_searcher_kwargs(args, budget),
-            )
         return QueryEngine(
-            index, k=args.topk, searcher=searcher, cache_size=cache_size
+            index, k=args.topk, searcher=replicas or searcher,
+            cache_size=cache_size,
         )
 
     engine_cold = front_end(cache_size=0)
@@ -1164,6 +1109,8 @@ def main(argv=None) -> int:
     warm_qps = len(stream) / (time.perf_counter() - t3)
     warm_stats = engine_warm.stats()
     engine_warm.close()
+    if replicas is not None:
+        replicas.close()
 
     rows = [
         {
@@ -1204,10 +1151,7 @@ def main(argv=None) -> int:
     )
     blocks = [header, rows]
     metrics = {
-        "mode": (
-            "replicas" if args.replicas > 0
-            else "sharded" if args.shards > 1 else "single"
-        ),
+        "mode": "replicas" if args.replicas > 0 else "single",
         "n_users": n_users,
         "n_queries": n_queries,
         f"recall_at_{args.topk}": round(recall, 3),

@@ -50,7 +50,7 @@ from .core import cluster_and_conquer
 from .data import dataset_names, describe, load, load_dataset
 from .online import OnlineIndex
 from .recommend import evaluate_recall
-from .serve import GraphSearcher, QueryEngine, ShardedQueryEngine, brute_force_top_k
+from .serve import GraphSearcher, QueryEngine, ReplicaSet, brute_force_top_k
 from .similarity import make_engine
 
 __all__ = ["main"]
@@ -227,23 +227,17 @@ def _cmd_serve_demo(args) -> int:
             durable = index.attach_persistence(args.wal_dir)
     rerank = None if args.rerank == "none" else args.rerank
     searcher = GraphSearcher(index, ef=args.ef, budget=args.budget, rerank=rerank)
+    replicas = None
     if args.replicas > 0:
-        queries = ShardedQueryEngine(
-            index, args.replicas, k=args.topk, replicas=True,
-            routing=args.routing, executor=args.replica_executor,
+        replicas = ReplicaSet(
+            index, args.replicas, mode=args.replica_executor,
             searcher_kwargs=dict(ef=args.ef, budget=args.budget, rerank=rerank),
             # With persistence attached, replicas bootstrap from the
             # on-disk snapshot + WAL tail instead of pickling the
             # primary under its read lock.
             hydrate=durable.hydrate if durable is not None else None,
         )
-    elif args.shards > 1:
-        queries = ShardedQueryEngine(
-            index, args.shards, k=args.topk,
-            searcher_kwargs=dict(ef=args.ef, budget=args.budget, rerank=rerank),
-        )
-    else:
-        queries = QueryEngine(index, k=args.topk, searcher=searcher)
+    queries = QueryEngine(index, k=args.topk, searcher=replicas or searcher)
 
     # Out-of-sample query profiles: partial histories of real users (a
     # visitor who rated a subset of what an indexed user rated), drawn
@@ -293,11 +287,12 @@ def _cmd_serve_demo(args) -> int:
             ),
         )
     )
-    if args.replicas > 0:
+    if replicas is not None:
         # The tier dashboard: what the replicated read path spent, per
         # replica and in total, in the same counted-similarity currency
         # as builds and updates.
-        serving = stats["replica_serving"]
+        tier = replicas.stats()
+        serving = tier["serving"]
         rows = [
             {
                 "Replica": i,
@@ -319,9 +314,9 @@ def _cmd_serve_demo(args) -> int:
             format_table(
                 rows,
                 title=(
-                    f"replica tier dashboard ({stats['deltas_shipped_total']} deltas "
-                    f"shipped, {stats['resyncs_total']} resyncs, "
-                    f"lag {stats['replica_lag']})"
+                    f"replica tier dashboard ({tier['deltas_shipped_total']} deltas "
+                    f"shipped, {tier['resyncs_total']} resyncs, "
+                    f"lag {tier['lag']})"
                 ),
             )
         )
@@ -346,6 +341,8 @@ def _cmd_serve_demo(args) -> int:
     if args.metrics:
         _print_metrics_dashboard(obs.metrics(), obs.tracer())
     queries.close()
+    if replicas is not None:
+        replicas.close()
     return 0
 
 
@@ -462,14 +459,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ef", type=int, default=32)
     p.add_argument("--budget", type=int, default=None,
                    help="hard cap on similarity evaluations per query")
-    p.add_argument("--shards", type=int, default=1,
-                   help="serve through a ShardedQueryEngine with N thread workers")
     p.add_argument("--replicas", type=int, default=0,
-                   help="serve through N per-shard replica indexes fed by "
-                        "journal-delta shipping (overrides --shards)")
-    p.add_argument("--routing", default="round_robin",
-                   choices=["round_robin", "least_loaded", "hash"],
-                   help="miss-routing policy across replicas")
+                   help="answer cache misses on N replica indexes fed by "
+                        "journal-delta shipping (round-robin per miss)")
     p.add_argument("--replica-executor", default="thread",
                    choices=["thread", "process"],
                    help="replica transport: in-process clones or pinned "

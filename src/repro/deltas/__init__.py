@@ -5,7 +5,7 @@ mutation describes itself as a journaled delta — and by PR 7 the repo
 had six independent consumers of that journal (reverse-adjacency
 maintenance, result-cache invalidation in both query engines, replica
 shipping, the durable WAL, and the journal metrics view), each with its
-own hand-rolled subscribe / replay / seq-cursor / resync logic. This
+own hand-rolled callback / replay / seq-cursor / resync logic. This
 package unifies them behind one derived-collection abstraction, after
 the krt framework's "collections derived from collections via
 transformation functions, with the framework owning state and change
@@ -30,10 +30,8 @@ propagation":
   replica edge digests against the primary oracle and auto-resyncs any
   replica that silently diverged.
 
-Registration is ``index.deltas.register(view)``; the pre-pipeline
-entry points ``OnlineIndex.subscribe`` / ``subscribe_deltas`` survive
-as one-release deprecation shims that wrap the callback in a
-:class:`CallbackView` / :class:`ReplicaDeltaView`.
+Registration is ``index.deltas.register(view)``; it returns the view,
+and ``view.close()`` detaches it.
 
 See ``docs/architecture.md`` ("The life of a delta") for the end-to-end
 walkthrough and ``examples/derived_views.py`` for building a custom
@@ -44,13 +42,11 @@ from __future__ import annotations
 
 from .antientropy import AntiEntropy
 from .bus import Delta, DeltaBus
-from .view import CallbackView, DerivedView, ReplicaDeltaView
+from .view import DerivedView
 
 __all__ = [
     "AntiEntropy",
-    "CallbackView",
     "Delta",
     "DeltaBus",
     "DerivedView",
-    "ReplicaDeltaView",
 ]

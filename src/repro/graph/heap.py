@@ -60,7 +60,7 @@ class NeighborHeaps:
         self.journal: list[tuple[int, int, bool]] | None = None
 
     # ------------------------------------------------------------------
-    # Pickling (snapshot clones: replicas, process shards, persistence)
+    # Pickling (snapshot clones: replicas, persistence)
     # ------------------------------------------------------------------
 
     def __getstate__(self) -> dict:
@@ -210,7 +210,7 @@ class NeighborHeaps:
         treat that as "resync from a fresh snapshot".
 
         Replays are journaled like any other structural change, so a
-        replica's own subscribers (reverse adjacency, caches) keep
+        replica's own views (reverse adjacency, caches) keep
         composing.
 
         Hot path: WAL recovery replays every delta since the last

@@ -6,11 +6,10 @@ arbitrary (including out-of-index) profiles via cluster-routed
 graph-walk search (:class:`GraphSearcher`, with optional exact
 re-ranking for estimate backends), a batching/caching front end with
 sync and ``asyncio`` entry points and partial cache invalidation
-(:class:`QueryEngine`), a multi-worker variant that partitions deduped
-batches across thread or process shards (:class:`ShardedQueryEngine`)
-— optionally backed by per-shard replica indexes that converge via
-shipped journal deltas instead of shared state (:class:`ReplicaSet`) —
-and an adapter that turns served neighbours into item recommendations
+(:class:`QueryEngine`), a replica tier that can stand in for the
+engine's searcher — replica indexes that converge via shipped journal
+deltas instead of shared state (:class:`ReplicaSet`) — and an adapter
+that turns served neighbours into item recommendations
 (:class:`Recommender`). Every similarity a query spends is counted
 through the engine's ``charge()`` protocol, so serving cost is
 comparable with build and update cost in the same currency.
@@ -20,7 +19,6 @@ from .engine import QueryEngine
 from .recommender import Recommender
 from .replica import ReplicaSet
 from .searcher import GraphSearcher, SearchResult, brute_force_top_k
-from .sharded import ShardedQueryEngine
 
 __all__ = [
     "GraphSearcher",
@@ -28,6 +26,5 @@ __all__ = [
     "Recommender",
     "ReplicaSet",
     "SearchResult",
-    "ShardedQueryEngine",
     "brute_force_top_k",
 ]

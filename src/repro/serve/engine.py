@@ -61,7 +61,7 @@ from ..deltas.view import DerivedView
 from ..online.index import OnlineIndex
 from .searcher import GraphSearcher, SearchResult
 
-__all__ = ["AsyncSearchMixin", "QueryEngine"]
+__all__ = ["QueryEngine"]
 
 
 def _signup_contacts(event: str, deltas) -> set[int] | None:
@@ -101,10 +101,9 @@ def _resplit_clusters(delta) -> list[int] | None:
 class _CacheView(DerivedView):
     """Result-cache invalidation as a derived view.
 
-    Wraps a front end's ``_on_delta`` (both :class:`QueryEngine` and
-    :class:`~repro.serve.ShardedQueryEngine` expose one); the resync
-    recipe for a cache is the trivial one — drop everything, the next
-    misses repopulate from the source of truth.
+    Wraps :meth:`QueryEngine._on_delta`; the resync recipe for a cache
+    is the trivial one — drop everything, the next misses repopulate
+    from the source of truth.
     """
 
     def __init__(self, engine, name: str) -> None:
@@ -120,52 +119,6 @@ class _CacheView(DerivedView):
         self._engine._cache.clear()
 
 
-class AsyncSearchMixin:
-    """Coalescing ``search_async`` on top of a batched ``search_many``.
-
-    Shared by :class:`QueryEngine` and
-    :class:`~repro.serve.sharded.ShardedQueryEngine` so both front ends
-    honour the same contract: every caller already scheduled when the
-    flush task runs (e.g. all coroutines of one ``asyncio.gather``)
-    lands in the same ``search_many`` batch and benefits from its
-    deduplication. Hosts must initialise ``_init_async()`` and provide
-    ``search_many(profiles, k)`` plus ``default_k``.
-    """
-
-    def _init_async(self) -> None:
-        self._pending: list[tuple[object, int | None, asyncio.Future]] = []
-        self._flush_task: asyncio.Task | None = None
-
-    async def search_async(self, profile, k: int | None = None) -> "SearchResult":
-        """Awaitable :meth:`search`; concurrent callers share a batch."""
-        loop = asyncio.get_running_loop()
-        future: asyncio.Future = loop.create_future()
-        self._pending.append((profile, k, future))
-        if self._flush_task is None or self._flush_task.done():
-            self._flush_task = loop.create_task(self._flush_pending())
-        return await future
-
-    async def _flush_pending(self) -> None:
-        await asyncio.sleep(0)  # let every scheduled caller enqueue first
-        while self._pending:
-            batch, self._pending = self._pending, []
-            groups: dict[int, list[tuple[object, asyncio.Future]]] = {}
-            for profile, k, future in batch:
-                kk = int(k if k is not None else self.default_k)
-                groups.setdefault(kk, []).append((profile, future))
-            for kk, items in groups.items():
-                try:
-                    outs = self.search_many([p for p, _ in items], k=kk)
-                except Exception as exc:  # pragma: no cover - defensive
-                    for _, future in items:
-                        if not future.done():
-                            future.set_exception(exc)
-                else:
-                    for (_, future), out in zip(items, outs):
-                        if not future.done():
-                            future.set_result(out)
-
-
 class _ResultCache:
     """LRU of :class:`SearchResult` with per-user partial invalidation.
 
@@ -176,13 +129,11 @@ class _ResultCache:
     through it}`` lets a re-split evict exactly the answers it can
     have re-routed; in ``"full"`` mode any mutation clears everything
     and lookups also enforce the stored index version (belt and braces
-    against a detached hook). Thread-safe: the sharded front end
-    serves lookups from multiple workers.
+    against a detached hook). Thread-safe: many caller threads may
+    share one engine.
     """
 
-    def __init__(
-        self, size: int, mode: str = "partial", registry=None, frontend: str = "engine"
-    ) -> None:
+    def __init__(self, size: int, mode: str = "partial", registry=None) -> None:
         if mode not in ("partial", "full"):
             raise ValueError("invalidation mode must be 'partial' or 'full'")
         self.size = int(size)
@@ -195,11 +146,11 @@ class _ResultCache:
         self._cluster_postings: dict[int, set[tuple]] = {}
         self._lock = threading.Lock()
         reg = registry if registry is not None else obs.metrics()
-        self._c_evictions = reg.counter("cache_evictions_total", frontend=frontend)
+        self._c_evictions = reg.counter("cache_evictions_total", frontend="engine")
         self._c_resplit_evictions = reg.counter(
-            "cache_resplit_evictions_total", frontend=frontend
+            "cache_resplit_evictions_total", frontend="engine"
         )
-        self._g_resplit_kept = reg.gauge("cache_resplit_kept", frontend=frontend)
+        self._g_resplit_kept = reg.gauge("cache_resplit_kept", frontend="engine")
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -334,8 +285,17 @@ class _ResultCache:
             return sum(len(keys) for keys in self._cluster_postings.values())
 
 
-class QueryEngine(AsyncSearchMixin):
+class QueryEngine:
     """Serves top-k queries over an :class:`OnlineIndex`.
+
+    The one serving front end: canonicalisation, cache lookup, batch
+    dedup, cache store, counters and ``search_async`` all live here.
+    Any number of caller threads may share one engine — the cache takes
+    its own lock, counters are added once per batch under
+    ``_stats_lock``, and walks run under the index's read lock — which
+    is how the replica tier gets its parallelism: hand the engine a
+    :class:`~repro.serve.ReplicaSet` as ``searcher`` and let concurrent
+    callers spread their misses across the replicas.
 
     Args:
         index: the maintained index to serve from.
@@ -346,8 +306,12 @@ class QueryEngine(AsyncSearchMixin):
             mutation can have changed) or ``"full"`` (drop everything
             on any mutation; the strict coherence mode). See the
             module docstring for the exact contracts.
-        searcher: a configured :class:`GraphSearcher` to use (one with
-            default parameters is built otherwise).
+        searcher: what answers cache misses — anything with a
+            ``top_k(profile, k=...)`` returning a :class:`SearchResult`:
+            a configured :class:`GraphSearcher` (one with default
+            parameters is built otherwise) or a
+            :class:`~repro.serve.ReplicaSet`. The caller owns it;
+            :meth:`close` leaves it open.
         registry: :class:`~repro.obs.MetricsRegistry` for the cache
             hit/miss/eviction and batch-latency metrics (default: the
             process-wide registry).
@@ -375,9 +339,8 @@ class QueryEngine(AsyncSearchMixin):
         )
         self.default_k = int(k)
         self.cache_size = int(cache_size)
-        self._cache = _ResultCache(
-            cache_size, mode=invalidation, registry=reg, frontend="engine"
-        )
+        self._cache = _ResultCache(cache_size, mode=invalidation, registry=reg)
+        self._stats_lock = threading.Lock()
         self.n_queries = 0
         self.cache_hits = 0
         self.cache_misses = 0
@@ -386,7 +349,8 @@ class QueryEngine(AsyncSearchMixin):
         self._c_misses = reg.counter("cache_misses_total", frontend="engine")
         self._c_dedup = reg.counter("cache_dedup_total", frontend="engine")
         self._h_batch = reg.histogram("serve_batch_seconds", frontend="engine")
-        self._init_async()
+        self._pending: list[tuple[object, int | None, asyncio.Future]] = []
+        self._flush_task: asyncio.Task | None = None
         self._view = index.deltas.register(_CacheView(self, "result_cache"))
 
     @property
@@ -400,7 +364,9 @@ class QueryEngine(AsyncSearchMixin):
         A closed engine stops observing mutations: in ``"full"`` mode
         the version stamps still refuse stale entries on lookup, in
         ``"partial"`` mode the cache is cleared here because nothing
-        will evict mutated answers anymore.
+        will evict mutated answers anymore. The searcher is not closed:
+        a :class:`~repro.serve.ReplicaSet` passed in belongs to the
+        caller.
         """
         self._view.close()
         if self._cache.mode == "partial":
@@ -432,26 +398,26 @@ class QueryEngine(AsyncSearchMixin):
 
         Cache hits are answered immediately; the misses are
         deduplicated by canonical profile (identical profiles are
-        searched once) and evaluated through the :class:`GraphSearcher`.
-        Results come back in request order.
+        searched once) and evaluated through the searcher. Results
+        come back in request order. Safe to call from many threads at
+        once, including while mutations stream in.
         """
         t_batch = perf_counter()
         k = int(k if k is not None else self.default_k)
         results: list[SearchResult | None] = [None] * len(profiles)
         canon: list[np.ndarray] = []
         misses: OrderedDict[tuple, list[int]] = OrderedDict()
+        hits = 0
         for pos, profile in enumerate(profiles):
             ids = np.unique(np.asarray(profile, dtype=np.int64))
             canon.append(ids)
             key = (ids.tobytes(), k)
             hit = self._cache.get(key, self.index.version)
             if hit is not None:
-                self.cache_hits += 1
-                self._c_hits.inc()
+                hits += 1
                 results[pos] = hit
             else:
                 misses.setdefault(key, []).append(pos)
-        self.n_queries += len(profiles)
         for key, positions in misses.items():
             with self.tracer.span("query", k=k, dedup=len(positions)):
                 version = self.index.version
@@ -460,16 +426,60 @@ class QueryEngine(AsyncSearchMixin):
                     self._cache.put(
                         key, version, result, live_version=lambda: self.index.version
                     )
-            self.cache_misses += 1
-            self._c_misses.inc()
-            dedup = len(positions) - 1
-            if dedup:
-                self.dedup_hits += dedup
-                self._c_dedup.inc(dedup)
             for pos in positions:
                 results[pos] = result
+        dedup = len(profiles) - hits - len(misses)
+        with self._stats_lock:
+            self.n_queries += len(profiles)
+            self.cache_hits += hits
+            self.cache_misses += len(misses)
+            self.dedup_hits += dedup
+        if hits:
+            self._c_hits.inc(hits)
+        if misses:
+            self._c_misses.inc(len(misses))
+        if dedup:
+            self._c_dedup.inc(dedup)
         self._h_batch.observe(perf_counter() - t_batch)
         return results  # type: ignore[return-value]
+
+    # ------------------------------------------------------------------
+    # Async entry point
+    # ------------------------------------------------------------------
+
+    async def search_async(self, profile, k: int | None = None) -> SearchResult:
+        """Awaitable :meth:`search`; concurrent callers share a batch.
+
+        Every caller already scheduled when the flush task runs (e.g.
+        all coroutines of one ``asyncio.gather``) lands in the same
+        :meth:`search_many` batch and benefits from its deduplication.
+        """
+        loop = asyncio.get_running_loop()
+        future: asyncio.Future = loop.create_future()
+        self._pending.append((profile, k, future))
+        if self._flush_task is None or self._flush_task.done():
+            self._flush_task = loop.create_task(self._flush_pending())
+        return await future
+
+    async def _flush_pending(self) -> None:
+        await asyncio.sleep(0)  # let every scheduled caller enqueue first
+        while self._pending:
+            batch, self._pending = self._pending, []
+            groups: dict[int, list[tuple[object, asyncio.Future]]] = {}
+            for profile, k, future in batch:
+                kk = int(k if k is not None else self.default_k)
+                groups.setdefault(kk, []).append((profile, future))
+            for kk, items in groups.items():
+                try:
+                    outs = self.search_many([p for p, _ in items], k=kk)
+                except Exception as exc:  # pragma: no cover - defensive
+                    for _, future in items:
+                        if not future.done():
+                            future.set_exception(exc)
+                else:
+                    for (_, future), out in zip(items, outs):
+                        if not future.done():
+                            future.set_result(out)
 
     # ------------------------------------------------------------------
 
@@ -484,13 +494,20 @@ class QueryEngine(AsyncSearchMixin):
         Keys follow the shared serving-stats vocabulary
         (``docs/observability.md``); the pre-unification per-component
         spellings were dropped after their one-release grace window.
+        The four query counters are read together under the lock that
+        batches add them under, so ``queries_total`` always equals
+        hits + misses + dedup even while other threads serve.
         """
+        with self._stats_lock:
+            counts = {
+                "queries_total": self.n_queries,
+                "cache_hits_total": self.cache_hits,
+                "cache_misses_total": self.cache_misses,
+                "dedup_hits_total": self.dedup_hits,
+            }
         return {
             "component": "query_engine",
-            "queries_total": self.n_queries,
-            "cache_hits_total": self.cache_hits,
-            "cache_misses_total": self.cache_misses,
-            "dedup_hits_total": self.dedup_hits,
+            **counts,
             "evictions_total": self._cache.invalidations,
             "resplit_evictions_total": self._cache.resplit_evictions,
             "resplit_kept": self._cache.resplit_kept,

@@ -1,10 +1,8 @@
-"""Per-shard replica indexes fed by journal-delta shipping.
+"""Replica indexes fed by journal-delta shipping.
 
-PR 3's sharded serving has two multi-core ceilings the ROADMAP calls
-out: every thread shard walks **one shared graph** under a single
-readers-writer lock (mutations stall all shards at once), and the
-process pool **re-forks its entire snapshot** after any mutation. This
-module replaces both with replication:
+A :class:`~repro.serve.QueryEngine` walks **one shared graph** under
+the index's readers-writer lock, so every mutation stalls every walk.
+The replica tier serves walks from copies instead:
 
 * each replica is a full :meth:`~repro.online.OnlineIndex.clone` of
   the primary — its own profiles, fingerprints, routing tables, graph
@@ -38,6 +36,16 @@ matters for serving: per-row neighbour-id sets (:func:`edge_digest`).
 Replica edge *ids* are always exact; stored edge scores may lag
 in-place rescorings, which the searcher never reads (candidates are
 scored against the query).
+
+The tier plugs into the one serving front end as its miss executor::
+
+    replicas = ReplicaSet(index, 4, mode="process")
+    engine = QueryEngine(index, searcher=replicas)
+
+:meth:`ReplicaSet.top_k` picks a replica round-robin per miss, so
+concurrent callers of that engine spread their walks across replicas.
+Whether that beats one serial engine depends on the host:
+``benchmarks/bench_serving.py --mixed --replicas N`` measures it.
 """
 
 from __future__ import annotations
@@ -123,8 +131,8 @@ class ReplicaSet:
 
     Args:
         index: the primary (mutations apply here, once).
-        n_replicas: replica count; the sharded front end routes batch
-            misses across them.
+        n_replicas: replica count; :meth:`top_k` spreads misses
+            across them round-robin.
         mode: ``"thread"`` (in-process clones, synchronous delta
             apply) or ``"process"`` (pinned worker pools fed a pickled
             delta queue).
@@ -173,6 +181,8 @@ class ReplicaSet:
         self._h_ship = reg.histogram("replica_ship_seconds")
         self._h_apply = reg.histogram("replica_apply_seconds")
         self._ship_lock = threading.Lock()
+        self._rr_lock = threading.Lock()
+        self._rr = 0  # round-robin cursor for top_k
         self._revive_locks = [threading.Lock() for _ in range(self.n_replicas)]
         self._closed = False
         # Per-replica serving spend, fed from the SearchResults each
@@ -186,7 +196,6 @@ class ReplicaSet:
         if mode == "thread":
             self._replicas: list[OnlineIndex] = []
             self._searchers: list[GraphSearcher] = []
-            self._run_locks = [threading.Lock() for _ in range(self.n_replicas)]
             for _ in range(self.n_replicas):
                 replica = hydrate() if hydrate is not None else index.clone()
                 self._replicas.append(replica)
@@ -322,21 +331,39 @@ class ReplicaSet:
     # Serving
     # ------------------------------------------------------------------
 
+    def _check_open(self) -> None:
+        if self._closed:
+            raise RuntimeError("ReplicaSet is closed")
+
+    def top_k(self, profile, k: int = 10) -> SearchResult:
+        """Answer one query on the next replica in round-robin order.
+
+        The :class:`~repro.serve.QueryEngine` miss-executor entry point
+        (``QueryEngine(index, searcher=replica_set)``). Replicas
+        converge to identical state, so any of them may serve any
+        query; the cursor only spreads load.
+        """
+        with self._rr_lock:
+            replica = self._rr % self.n_replicas
+            self._rr += 1
+        return self.search(replica, [profile], k)[0]
+
     def search(self, replica: int, profiles: list, k: int) -> list[SearchResult]:
         """Serve a batch of profiles on replica ``replica``.
 
         Thread mode walks the replica's own graph on the calling
-        thread (the per-replica lock only matters for rebuild-mode
-        searchers, which keep private CSR state). Process mode drains
+        thread, under that replica's read lock. Process mode drains
         the replica's delta queue into the pinned worker ahead of the
         batch, so results always reflect every mutation shipped before
         this call.
+
+        Raises:
+            RuntimeError: the set is closed.
         """
+        self._check_open()
         if self.mode == "thread":
             searcher = self._searchers[replica]
-            with self._run_locks[replica]:
-                results = [searcher.top_k(p, k=k) for p in profiles]
-            return self._account(replica, results)
+            return self._account(replica, [searcher.top_k(p, k=k) for p in profiles])
         future = self._submit(replica, _replica_search, profiles, k)
         try:
             return self._account(replica, future.result())
@@ -367,6 +394,7 @@ class ReplicaSet:
         """Thread-mode replica ``i`` (tests compare it to the primary)."""
         if self.mode != "thread":
             raise ValueError("direct replica access is thread-mode only")
+        self._check_open()
         return self._replicas[i]
 
     def converged(self) -> bool:
@@ -376,7 +404,11 @@ class ReplicaSet:
         drain their pending delta queues (the consistency contract is
         read-your-ship, so "converged" means "after applying what was
         shipped"). Digests are slot-order independent.
+
+        Raises:
+            RuntimeError: the set is closed.
         """
+        self._check_open()
         with self.index.lock.read():
             want = (self.index.version, edge_digest(self.index.graph.heaps))
         return all(got == want for got in self.replica_states())
@@ -389,7 +421,11 @@ class ReplicaSet:
         are read under their own locks. The
         :class:`~repro.deltas.AntiEntropy` view compares these pairs
         against the primary oracle.
+
+        Raises:
+            RuntimeError: the set is closed.
         """
+        self._check_open()
         if self.mode == "thread":
             out = []
             for replica in self._replicas:

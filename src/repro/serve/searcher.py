@@ -187,8 +187,9 @@ class GraphSearcher:
         self.reverse = reverse
         self.rerank = rerank
         self._rev_version = -1  # index.version the rebuild-mode copy matches
-        self._rev_sources = np.empty(0, dtype=np.int64)
-        self._rev_indptr = np.zeros(1, dtype=np.int64)
+        self._rev_lock = threading.Lock()
+        # Rebuild-mode in-edge CSR: (sources, indptr).
+        self._rev_csr = (np.empty(0, dtype=np.int64), np.zeros(1, dtype=np.int64))
         reg = registry if registry is not None else obs.metrics()
         self.tracer = tracer if tracer is not None else obs.tracer()
         self._m_queries = reg.counter("serve_queries_total")
@@ -241,8 +242,7 @@ class GraphSearcher:
         with self.tracer.span("search", k=int(k), profile_size=int(profile.size)) as sp:
             # Walks read shared graph state that mutations patch in
             # place; the index's readers-writer lock keeps the two
-            # apart (many concurrent walks, mutations exclusive — see
-            # ShardedQueryEngine).
+            # apart (many concurrent walks, mutations exclusive).
             with self.index.lock.read():
                 result = self._walk(profile, int(k), ef, budget, exclude, extra_seeds)
             sp.note(hops=result.hops, evaluations=result.evaluations)
@@ -257,7 +257,6 @@ class GraphSearcher:
         graph = self.index.graph
         active = self.index.dataset.active_mask()
         excluded = {int(u) for u in exclude}
-        before = engine.comparisons
         query = engine.prepare_query(profile)
 
         t_seed = perf_counter()
@@ -302,6 +301,7 @@ class GraphSearcher:
                 cands = np.array([v for _, v in pool], dtype=np.int64)
                 exact = self._exact_scores(profile, cands)
                 engine.charge(cands.size)
+                evals += int(cands.size)
                 order = np.lexsort((cands, -exact))[:k]
                 ids, scores = cands[order], exact[order]
             self._h_rerank.observe(perf_counter() - t_rerank)
@@ -309,10 +309,13 @@ class GraphSearcher:
             best = pool[:k]
             ids = np.array([v for _, v in best], dtype=np.int64)
             scores = np.array([s for s, _ in best], dtype=np.float64)
+        # Counted locally, never as a delta of ``engine.comparisons``:
+        # that counter is shared by every walk holding the read lock,
+        # so overlapping queries would bill each other.
         return SearchResult(
             ids=ids,
             scores=scores,
-            evaluations=engine.comparisons - before,
+            evaluations=int(evals),
             hops=hops,
             routed=routed,
         )
@@ -508,19 +511,26 @@ class GraphSearcher:
         served between two index mutations. This is the pre-incremental
         fallback — and the from-scratch oracle the property tests pit
         the maintained reverse index against.
+
+        Callers hold the index read lock, so many walks on one shared
+        searcher can arrive here at once: ``_rev_lock`` lets exactly
+        one of them rebuild, and the others reuse its copy.
         """
         if self._rev_version == self.index.version:
             return
-        heaps = self.index.graph.heaps
-        valid = heaps.ids.ravel() != EMPTY
-        dst = heaps.ids.ravel()[valid].astype(np.int64)
-        src = np.repeat(np.arange(heaps.n, dtype=np.int64), heaps.k)[valid]
-        order = np.argsort(dst, kind="stable")
-        self._rev_sources = src[order]
-        self._rev_indptr = np.searchsorted(
-            dst[order], np.arange(heaps.n + 1, dtype=np.int64)
-        )
-        self._rev_version = self.index.version
+        with self._rev_lock:
+            if self._rev_version == self.index.version:
+                return
+            heaps = self.index.graph.heaps
+            valid = heaps.ids.ravel() != EMPTY
+            dst = heaps.ids.ravel()[valid].astype(np.int64)
+            src = np.repeat(np.arange(heaps.n, dtype=np.int64), heaps.k)[valid]
+            order = np.argsort(dst, kind="stable")
+            self._rev_csr = (
+                src[order],
+                np.searchsorted(dst[order], np.arange(heaps.n + 1, dtype=np.int64)),
+            )
+            self._rev_version = self.index.version
 
     def _adjacent_parts(self, graph, node: int, rev):
         """``(out, incoming)`` neighbour arrays of ``node``.
@@ -533,9 +543,8 @@ class GraphSearcher:
         if rev is None:
             return out, None
         if rev is self:  # rebuild-mode CSR copy
-            incoming = self._rev_sources[
-                self._rev_indptr[node] : self._rev_indptr[node + 1]
-            ]
+            sources, indptr = self._rev_csr
+            incoming = sources[indptr[node] : indptr[node + 1]]
         else:  # the index's maintained ReverseAdjacency
             incoming = rev.holders(node)
         return out, incoming

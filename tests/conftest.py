@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.data import Dataset, SyntheticSpec, generate
+from repro.deltas import DerivedView
 
 
 @pytest.fixture(scope="session")
@@ -59,3 +60,39 @@ def medium_dataset() -> Dataset:
 def rng() -> np.random.Generator:
     """A fresh deterministic RNG per test."""
     return np.random.default_rng(0)
+
+
+class _Tap(DerivedView):
+    """Test-side view handing each published delta to a callable.
+
+    With ``scored=True`` it declares ``needs_scored`` and passes on the
+    shippable :class:`~repro.online.ReplicaDelta` (``delta.replica``)
+    instead of the :class:`~repro.deltas.Delta` itself.
+    """
+
+    def __init__(self, fn, scored: bool) -> None:
+        super().__init__(name="test_tap")
+        self.fn = fn
+        self.needs_scored = scored
+
+    def apply(self, delta) -> None:
+        self.fn(delta.replica if self.needs_scored else delta)
+
+    def resync(self) -> None:
+        """Nothing derived to rebuild: the callable sees the live stream."""
+
+
+@pytest.fixture()
+def tap():
+    """``tap(index, fn, scored=False)`` registers ``fn`` on the index's
+    delta bus and returns the view; every tap detaches at teardown."""
+    views = []
+
+    def register(index, fn, scored: bool = False):
+        view = index.deltas.register(_Tap(fn, scored))
+        views.append(view)
+        return view
+
+    yield register
+    for view in views:
+        view.close()

@@ -7,8 +7,8 @@ same derived state the incremental path maintained —
 
 * **reverse adjacency**: the maintained in-edge sets equal a cold
   :meth:`~repro.graph.ReverseAdjacency.from_heaps` group-by;
-* **result caches** (engine and sharded front ends): resync clears to
-  exactly a fresh engine's state, and post-resync answers match a
+* **result caches** (``QueryEngine`` with its own searcher or a
+  :class:`ReplicaSet`): resync clears to exactly a fresh engine's state, and post-resync answers match a
   fresh engine's answers query for query;
 * **replica shipping**: each replica's ``(version, digest)`` equals
   the primary's after the tape, and again after a forced resync;
@@ -37,7 +37,7 @@ from repro.graph import ReverseAdjacency, edge_digest
 from repro.obs import JournalMetrics, MetricsRegistry
 from repro.online import OnlineIndex
 from repro.persist import DurableIndex
-from repro.serve import QueryEngine, ReplicaSet, ShardedQueryEngine
+from repro.serve import QueryEngine, ReplicaSet
 
 _SEED_BASE = int(os.environ.get("REPRO_PROP_SEED", "0"))
 SEEDS = [_SEED_BASE, _SEED_BASE + 1]
@@ -102,7 +102,7 @@ def test_reverse_view_resync_equals_incremental(seed):
 
 
 # ----------------------------------------------------------------------
-# Result caches (both front ends)
+# Result caches (both miss executors)
 # ----------------------------------------------------------------------
 
 
@@ -139,27 +139,31 @@ def test_engine_cache_resync_equals_fresh_engine(seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_sharded_cache_resync_equals_fresh_frontend(seed):
+@pytest.mark.parametrize("mode", ["thread", "process"])
+def test_replica_frontend_cache_resync_equals_fresh_frontend(seed, mode):
+    """The same cache property with a :class:`ReplicaSet` answering misses."""
     index = _index(seed)
     rng = np.random.default_rng(seed + 30)
-    sharded = ShardedQueryEngine(index, n_shards=2, k=K)
+    replicas = ReplicaSet(index, 2, mode=mode)
+    engine = QueryEngine(index, k=K, searcher=replicas)
     try:
         pool = _pool(rng, index, n=20)
         for _ in range(2):
-            sharded.search_many(pool)
+            engine.search_many(pool)
             _churn(index, rng, n=8)
-        index.deltas.resync(sharded._view)
-        assert sharded.stats()["cache_entries"] == 0
-        fresh = ShardedQueryEngine(index, n_shards=2, k=K)
+        index.deltas.resync(engine._view)
+        assert engine.stats()["cache_entries"] == 0
+        fresh = QueryEngine(index, k=K, searcher=replicas)
         try:
-            got = sharded.search_many(pool)
+            got = engine.search_many(pool)
             want = fresh.search_many(pool)
             for a, b in zip(got, want):
                 assert a.ids.tolist() == b.ids.tolist()
         finally:
             fresh.close()
     finally:
-        sharded.close()
+        engine.close()
+        replicas.close()
 
 
 # ----------------------------------------------------------------------

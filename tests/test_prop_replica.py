@@ -12,8 +12,9 @@ replication contract against strict oracles:
   chunks — the process transport's queue, minus the processes)
   converges to the same state once drained, and re-applying already
   seen deltas is an idempotent no-op;
-* the **process transport** end-to-end returns single-worker answers
-  after churn with zero snapshot re-forks.
+* both transports behind the one front end,
+  ``QueryEngine(index, searcher=ReplicaSet(...))``, return single-worker
+  answers after churn with zero resyncs.
 
 The CI property matrix shifts the seed base via ``REPRO_PROP_SEED`` so
 tier-1 stays at two seeds per run but interleavings vary across jobs.
@@ -27,7 +28,7 @@ import pytest
 from repro import C2Params
 from repro.data import SyntheticSpec, generate
 from repro.online import OnlineIndex
-from repro.serve import GraphSearcher, QueryEngine, ReplicaSet, ShardedQueryEngine
+from repro.serve import GraphSearcher, QueryEngine, ReplicaSet
 from repro.serve.replica import edge_digest
 
 K = 6
@@ -118,68 +119,61 @@ def test_synchronous_replica_is_identical_at_every_step(seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_lagging_replica_converges_once_drained(seed):
+def test_lagging_replica_converges_once_drained(seed, tap):
     """The process-queue semantics, process-free: buffer, drain in chunks."""
     primary = _index(seed)
     primary.reverse_index()
     replica = primary.clone()
     replica.reverse_index()
     queue = []
-    primary.subscribe_deltas(queue.append)
+    queue_view = tap(primary, queue.append, scored=True)
     rng = np.random.default_rng(seed + 700)
-    try:
-        for _ in range(N_OPS):
-            _mutate(primary, rng)
-            if queue and rng.random() < 0.4:
-                # Drain a random prefix — the replica lags behind by
-                # whatever remains buffered.
-                take = int(rng.integers(1, len(queue) + 1))
-                batch, queue[:] = queue[:take], queue[take:]
-                for delta in batch:
-                    assert replica.apply_delta(delta)
-        for delta in queue:
-            assert replica.apply_delta(delta)
-        _assert_state_parity(replica, primary)
-        # Idempotence: a replayed tail (a retry after a worker hiccup)
-        # changes nothing.
-        replayed = []
-        primary.subscribe_deltas(replayed.append)
-        _mutate(primary, np.random.default_rng(seed + 701))
-        for delta in replayed:
-            assert replica.apply_delta(delta)
-            assert not replica.apply_delta(delta)
-        _assert_state_parity(replica, primary)
-        primary.unsubscribe_deltas(replayed.append)
-    finally:
-        primary.unsubscribe_deltas(queue.append)
+    for _ in range(N_OPS):
+        _mutate(primary, rng)
+        if queue and rng.random() < 0.4:
+            # Drain a random prefix — the replica lags behind by
+            # whatever remains buffered.
+            take = int(rng.integers(1, len(queue) + 1))
+            batch, queue[:] = queue[:take], queue[take:]
+            for delta in batch:
+                assert replica.apply_delta(delta)
+    for delta in queue:
+        assert replica.apply_delta(delta)
+    _assert_state_parity(replica, primary)
+    queue_view.close()
+    # Idempotence: a replayed tail (a retry after a worker hiccup)
+    # changes nothing.
+    replayed = []
+    tap(primary, replayed.append, scored=True)
+    _mutate(primary, np.random.default_rng(seed + 701))
+    for delta in replayed:
+        assert replica.apply_delta(delta)
+        assert not replica.apply_delta(delta)
+    _assert_state_parity(replica, primary)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_snapshot_raced_deltas_are_skipped(seed):
+def test_snapshot_raced_deltas_are_skipped(seed, tap):
     """A delta older than the snapshot it joined must be a no-op."""
     primary = _index(seed)
     deltas = []
-    primary.subscribe_deltas(deltas.append)
+    tap(primary, deltas.append, scored=True)
     rng = np.random.default_rng(seed + 800)
-    try:
-        for _ in range(5):
-            _mutate(primary, rng)
-        clone = primary.clone()  # snapshot already contains all 5
-        for delta in deltas:
-            assert not clone.apply_delta(delta)
-        _assert_state_parity(clone, primary)
-    finally:
-        primary.unsubscribe_deltas(deltas.append)
+    for _ in range(5):
+        _mutate(primary, rng)
+    clone = primary.clone()  # snapshot already contains all 5
+    for delta in deltas:
+        assert not clone.apply_delta(delta)
+    _assert_state_parity(clone, primary)
 
 
-@pytest.mark.parametrize("seed", SEEDS[:1])
-def test_process_transport_matches_single_worker_after_churn(seed):
-    """End-to-end: pinned worker pools, pickled delta queue, no re-forks."""
+def _front_end_matches_single_worker(seed, mode):
+    """Churn, then serve batches through ``QueryEngine(searcher=ReplicaSet)``
+    and compare with a serial engine on the primary."""
     primary = _index(seed)
     primary.reverse_index()
-    engine = ShardedQueryEngine(
-        primary, 2, executor="process", replicas=True, cache_size=0
-    )
+    replicas = ReplicaSet(primary, 2, mode=mode)
+    engine = QueryEngine(primary, searcher=replicas, cache_size=0)
     oracle = QueryEngine(primary, cache_size=0)
     rng = np.random.default_rng(seed + 900)
     try:
@@ -192,10 +186,25 @@ def test_process_transport_matches_single_worker_after_churn(seed):
             ):
                 assert np.array_equal(got.ids, want.ids)
                 assert got.scores == pytest.approx(want.scores)
-        stats = engine.stats()
+                assert got.evaluations == want.evaluations
+        stats = replicas.stats()
         assert stats["resyncs_total"] == 0
         assert stats["deltas_shipped_total"] == primary.version
-        assert engine.replica_set.converged()
+        assert stats["serving"]["queries"] == engine.stats()["cache_misses_total"]
+        assert replicas.converged()
     finally:
         engine.close()
         oracle.close()
+        replicas.close()
+
+
+@pytest.mark.parametrize("seed", SEEDS[:1])
+def test_process_transport_matches_single_worker_after_churn(seed):
+    """End-to-end: pinned worker pools, pickled delta queue, no re-forks."""
+    _front_end_matches_single_worker(seed, "process")
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_thread_transport_matches_single_worker_after_churn(seed):
+    """End-to-end: in-process clones converging inside each mutation."""
+    _front_end_matches_single_worker(seed, "thread")

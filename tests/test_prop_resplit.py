@@ -69,7 +69,7 @@ def _churn(index, seed, n_ops=N_OPS):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_resplit_partitions_match_batch_split_oracle(seed):
+def test_resplit_partitions_match_batch_split_oracle(seed, tap):
     """Each online re-split equals a batch split of the same members.
 
     The oracle runs inside the journal callback — at that instant the
@@ -111,7 +111,7 @@ def test_resplit_partitions_match_batch_split_oracle(seed):
         assert got == want
         checked.append(root)
 
-    index.subscribe_deltas(oracle)
+    tap(index, oracle, scored=True)
     _churn(index, seed)
     # The tape must actually have exercised the mechanism.
     assert checked and index.stats()["resplits_total"] > 0
@@ -138,14 +138,14 @@ def test_post_tape_size_invariant_and_assignment_bijection(seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_lagging_replica_converges_through_resplits(seed):
+def test_lagging_replica_converges_through_resplits(seed, tap):
     """Buffered journal deltas replay re-splits to the identical state."""
     primary = _index(seed)
     primary.reverse_index()
     replica = primary.clone()
     replica.reverse_index()
     queue: list = []
-    primary.subscribe_deltas(queue.append)
+    tap(primary, queue.append, scored=True)
     rng = np.random.default_rng(seed + 500)
     world = IndexWorld(primary)
     scenario = make_scenario("churn", N_OPS, seed=seed, bundle_size=60)

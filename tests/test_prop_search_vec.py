@@ -11,11 +11,18 @@ backends, both reverse-edge sources, rerank on/off) including the
 degenerate corners: empty seed sets, budgets smaller than the seed
 count, all-excluded neighbourhoods, and post-re-split indexes.
 
+``SearchResult.evaluations`` is counted inside the walk. Every call
+here also checks it against the single-threaded oracle: the delta of
+the engine's shared ``comparisons`` counter across the call. A last
+test forces one walk inside another and checks that neither bills the
+other.
+
 The CI property matrix shifts the seed base via ``REPRO_PROP_SEED`` so
 tier-1 stays at two seeds per run but tapes vary across jobs.
 """
 
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -76,6 +83,15 @@ def _assert_identical(a, b, ctx=""):
     assert a.routed == b.routed, f"routed diverges {ctx}"
 
 
+def _counted(searcher, profile, **kwargs):
+    """``top_k`` whose local evaluation count must equal the oracle:
+    the shared engine counter's delta (sound single-threaded only)."""
+    before = searcher.engine.comparisons
+    result = searcher.top_k(profile, **kwargs)
+    assert result.evaluations == searcher.engine.comparisons - before
+    return result
+
+
 def _pair(index, **kwargs):
     return (
         GraphSearcher(index, walk_impl="numpy", **kwargs),
@@ -111,11 +127,11 @@ def test_numpy_equals_python_across_parameter_grid(seed, backend):
                     if trial % 2
                     else None
                 )
-                a = s_np.top_k(
+                a = _counted(s_np, 
                     profile, k=k, ef=ef, budget=budget,
                     exclude=exclude, extra_seeds=extra,
                 )
-                b = s_py.top_k(
+                b = _counted(s_py, 
                     profile, k=k, ef=ef, budget=budget,
                     exclude=exclude, extra_seeds=extra,
                 )
@@ -134,8 +150,8 @@ def test_numpy_equals_python_under_interleaved_mutations(seed):
         _mutate(index, rng)
         profile = _random_profile(index, rng)
         budget = None if step % 2 else int(rng.integers(10, 120))
-        a = s_np.top_k(profile, k=K, budget=budget)
-        b = s_py.top_k(profile, k=K, budget=budget)
+        a = _counted(s_np, profile, k=K, budget=budget)
+        b = _counted(s_py, profile, k=K, budget=budget)
         _assert_identical(a, b, f"(step={step})")
 
 
@@ -145,8 +161,8 @@ def test_degenerate_empty_seeds(seed):
     index = _index(seed)
     s_np, s_py = _pair(index)
     everyone = np.arange(index.dataset.n_users)
-    a = s_np.top_k([1, 2, 3], k=K, exclude=everyone)
-    b = s_py.top_k([1, 2, 3], k=K, exclude=everyone)
+    a = _counted(s_np, [1, 2, 3], k=K, exclude=everyone)
+    b = _counted(s_py, [1, 2, 3], k=K, exclude=everyone)
     assert len(a) == 0 and a.evaluations == 0 and a.hops == 0
     _assert_identical(a, b)
 
@@ -159,8 +175,8 @@ def test_degenerate_budget_below_seed_count(seed):
     s_np, s_py = _pair(index)
     for budget in (1, 2, 5):
         profile = _random_profile(index, rng)
-        a = s_np.top_k(profile, k=K, ef=32, budget=budget)
-        b = s_py.top_k(profile, k=K, ef=32, budget=budget)
+        a = _counted(s_np, profile, k=K, ef=32, budget=budget)
+        b = _counted(s_py, profile, k=K, ef=32, budget=budget)
         assert a.evaluations <= budget
         _assert_identical(a, b, f"(budget={budget})")
 
@@ -183,9 +199,9 @@ def test_degenerate_all_excluded_neighborhoods(seed):
         banned.update(int(v) for v in rev.holders(int(u)))
     banned -= {int(u) for u in seeds}
     profile = _random_profile(index, rng)
-    a = s_np.top_k(profile, k=K, exclude=np.fromiter(banned, dtype=np.int64),
+    a = _counted(s_np, profile, k=K, exclude=np.fromiter(banned, dtype=np.int64),
                    extra_seeds=seeds)
-    b = s_py.top_k(profile, k=K, exclude=np.fromiter(banned, dtype=np.int64),
+    b = _counted(s_py, profile, k=K, exclude=np.fromiter(banned, dtype=np.int64),
                    extra_seeds=seeds)
     _assert_identical(a, b)
 
@@ -200,6 +216,50 @@ def test_numpy_equals_python_after_resplit(seed):
     s_np, s_py = _pair(index)
     for _ in range(12):
         profile = _random_profile(index, rng)
-        a = s_np.top_k(profile, k=K)
-        b = s_py.top_k(profile, k=K)
+        a = _counted(s_np, profile, k=K)
+        b = _counted(s_py, profile, k=K)
         _assert_identical(a, b)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("rerank", [None, "exact"])
+def test_overlapping_walks_do_not_bill_each_other(seed, rerank):
+    """A second walk forced inside the first keeps both counts exact.
+
+    The wrapped ``query_many`` starts walk B on another thread during
+    walk A's seed scoring and waits for it. Both hold the index read
+    lock at once, as concurrent callers of one engine do, so any count
+    read off the shared engine counter would bill B's work to A.
+    """
+    index = _index(seed, backend="goldfinger")
+    rng = np.random.default_rng(seed + 71)
+    searcher = GraphSearcher(index, rerank=rerank)
+    profile_a = _random_profile(index, rng)
+    profile_b = _random_profile(index, rng)
+    want_a = _counted(searcher, profile_a, k=K)
+    want_b = _counted(searcher, profile_b, k=K)
+
+    engine = index.engine
+    scored = engine.query_many
+    inner = {}
+
+    def query_many(query, users):
+        if not inner:
+            inner["started"] = True
+            walk_b = threading.Thread(
+                target=lambda: inner.update(b=searcher.top_k(profile_b, k=K))
+            )
+            walk_b.start()
+            walk_b.join(timeout=30)
+        return scored(query, users)
+
+    engine.query_many = query_many  # instance attribute shadows the method
+    try:
+        got_a = searcher.top_k(profile_a, k=K)
+    finally:
+        del engine.query_many
+    assert "b" in inner, "walk B did not run inside walk A"
+    assert inner["b"].evaluations == want_b.evaluations
+    assert got_a.evaluations == want_a.evaluations
+    _assert_identical(got_a, want_a)
+    _assert_identical(inner["b"], want_b)

@@ -1,12 +1,13 @@
-"""Tests for the replica serving tier (repro.serve.replica + sharded).
+"""Tests for the replica serving tier (repro.serve.replica).
 
 The tier's contracts: replicas converge to the primary's exact serving
 state by applying shipped journal deltas (never by re-forking, outside
 ``rebuild``), any replica answers exactly what the primary would,
-miss routing only shapes load, and the sharded front end's
-``search_async`` coalesces concurrent awaiters exactly like
-``QueryEngine.search_async``. Plus the PR-4 cache fix: a brand-new
-very-similar signup evicts the cached answers it should appear in.
+round-robin routing only shapes load, and behind the one front end —
+``QueryEngine(index, searcher=ReplicaSet(...))`` — cache, dedup and
+``search_async`` behave exactly as with the engine's own searcher, in
+both transports. Plus the cache fix for signups: a brand-new
+very-similar user evicts the cached answers it should appear in.
 """
 
 import asyncio
@@ -17,7 +18,7 @@ import pytest
 
 from repro import C2Params
 from repro.online import OnlineIndex, StaleReplicaError
-from repro.serve import QueryEngine, ReplicaSet, ShardedQueryEngine
+from repro.serve import QueryEngine, ReplicaSet
 from repro.serve.replica import edge_digest
 
 
@@ -29,6 +30,15 @@ def _params(**kw):
 
 def _batch(rng, n_items, size=16):
     return [rng.integers(0, n_items, size=int(rng.integers(3, 12))) for _ in range(size)]
+
+
+MODES = ["thread", "process"]
+
+
+def _front_end(index, n_replicas, mode, **engine_kwargs):
+    """The replica tier behind the one front end; close both when done."""
+    replicas = ReplicaSet(index, n_replicas, mode=mode)
+    return QueryEngine(index, searcher=replicas, **engine_kwargs), replicas
 
 
 def _churn(index, rng, n_ops=15):
@@ -92,31 +102,43 @@ class TestReplicaSet:
         index.add_user([1, 2, 3])
         assert replicas.stats()["deltas_shipped_total"] == 0
 
-    def test_stale_delta_stream_raises_and_heals(self, small_dataset):
+    def test_stale_delta_stream_raises_and_heals(self, small_dataset, tap):
         index = OnlineIndex.build(small_dataset, params=_params())
         clone = index.clone()
         deltas = []
-        index.subscribe_deltas(deltas.append)
-        try:
-            index.add_user([1, 2, 3])
-            index.add_user([4, 5, 6])
-            with pytest.raises(StaleReplicaError):
-                clone.apply_delta(deltas[1])  # gap: delta 0 never applied
-            assert clone.apply_delta(deltas[0])
-            assert clone.apply_delta(deltas[1])
-            assert not clone.apply_delta(deltas[1])  # idempotent skip
-            assert edge_digest(clone.graph.heaps) == edge_digest(index.graph.heaps)
-        finally:
-            index.unsubscribe_deltas(deltas.append)
+        tap(index, deltas.append, scored=True)
+        index.add_user([1, 2, 3])
+        index.add_user([4, 5, 6])
+        with pytest.raises(StaleReplicaError):
+            clone.apply_delta(deltas[1])  # gap: delta 0 never applied
+        assert clone.apply_delta(deltas[0])
+        assert clone.apply_delta(deltas[1])
+        assert not clone.apply_delta(deltas[1])  # idempotent skip
+        assert edge_digest(clone.graph.heaps) == edge_digest(index.graph.heaps)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_closed_set_raises(self, small_dataset, mode):
+        index = OnlineIndex.build(small_dataset, params=_params())
+        replicas = ReplicaSet(index, 2, mode=mode)
+        assert replicas.top_k([1, 2, 3], k=5).ids.size == 5
+        replicas.close()
+        replicas.close()  # idempotent
+        for call in (
+            lambda: replicas.top_k([1, 2, 3], k=5),
+            lambda: replicas.search(0, [[1, 2, 3]], 5),
+            replicas.converged,
+            replicas.replica_states,
+        ):
+            with pytest.raises(RuntimeError, match="closed"):
+                call()
+        assert replicas.stats()["lag"] == 0  # dashboards still read
 
 
 class TestReplicaRouting:
-    @pytest.mark.parametrize("routing", ["round_robin", "least_loaded", "hash"])
-    def test_policies_match_single_worker_answers(self, small_dataset, routing):
+    @pytest.mark.parametrize("mode", MODES)
+    def test_top_k_matches_serial_answers(self, small_dataset, mode):
         index = OnlineIndex.build(small_dataset, params=_params())
-        engine = ShardedQueryEngine(
-            index, 3, replicas=True, routing=routing, cache_size=0
-        )
+        engine, replicas = _front_end(index, 3, mode, cache_size=0)
         oracle = QueryEngine(index, cache_size=0)
         rng = np.random.default_rng(5)
         batch = _batch(rng, small_dataset.n_items)
@@ -128,57 +150,57 @@ class TestReplicaRouting:
         finally:
             engine.close()
             oracle.close()
+            replicas.close()
 
-    @pytest.mark.parametrize("routing", ["round_robin", "least_loaded"])
-    def test_policies_spread_misses_across_replicas(self, small_dataset, routing):
+    @pytest.mark.parametrize("mode", MODES)
+    def test_round_robin_spreads_misses_across_replicas(self, small_dataset, mode):
         index = OnlineIndex.build(small_dataset, params=_params())
-        engine = ShardedQueryEngine(
-            index, 3, replicas=True, routing=routing, cache_size=0
-        )
+        engine, replicas = _front_end(index, 3, mode, cache_size=0)
         try:
-            rng = np.random.default_rng(6)
-            before = [
-                replica.engine.comparisons
-                for replica in engine.replica_set._replicas
-            ]
-            engine.search_many(_batch(rng, small_dataset.n_items, size=24))
-            # Thread replicas charge walks to their own engine copies —
-            # a policy that funnelled everything to one replica would
-            # leave the others' counters untouched.
-            charged = [
-                replica.engine.comparisons - b
-                for replica, b in zip(engine.replica_set._replicas, before)
-            ]
-            assert all(c > 0 for c in charged), charged
+            engine.search_many(_batch(np.random.default_rng(6), small_dataset.n_items, size=24))
+            # Every replica charges its walks to its own engine copy and
+            # its own serving counters; round-robin gives each 24 / 3.
+            per_replica = replicas.stats()["serving"]["per_replica"]
+            assert [c["queries"] for c in per_replica] == [8, 8, 8]
+            assert all(c["evaluations"] > 0 for c in per_replica)
         finally:
             engine.close()
-
-    def test_routing_requires_replicas(self, small_dataset):
-        index = OnlineIndex.build(small_dataset, params=_params())
-        with pytest.raises(ValueError):
-            ShardedQueryEngine(index, 2, routing="round_robin")
-        with pytest.raises(ValueError):
-            ShardedQueryEngine(index, 2, replicas=True, routing="random")
+            replicas.close()
 
     def test_stats_surface_replica_counters(self, small_dataset):
         index = OnlineIndex.build(small_dataset, params=_params())
-        engine = ShardedQueryEngine(index, 2, replicas=True)
+        engine, replicas = _front_end(index, 2, "thread")
         try:
             index.add_user([1, 2, 3])
-            stats = engine.stats()
-            assert stats["routing"] == "round_robin"
-            assert stats["replica_mode"] == "thread"
+            engine.search([4, 5, 6])
+            stats = replicas.stats()
+            assert stats["mode"] == "thread"
             assert stats["deltas_shipped_total"] == 1
             assert stats["resyncs_total"] == 0
-            assert stats["replica_lag"] == 0
+            assert stats["lag"] == 0
+            assert stats["serving"]["queries"] == 1
+            assert engine.stats()["cache_misses_total"] == 1
         finally:
             engine.close()
+            replicas.close()
 
-
-class TestShardedSearchAsync:
-    def test_concurrent_awaiters_share_one_walk(self, small_dataset):
+    def test_engine_close_leaves_replicas_open(self, small_dataset):
         index = OnlineIndex.build(small_dataset, params=_params())
-        engine = ShardedQueryEngine(index, 2, replicas=True)
+        engine, replicas = _front_end(index, 2, "thread")
+        try:
+            engine.close()
+            index.add_user([1, 2, 3])
+            assert replicas.converged()  # still shipping: the caller owns it
+            assert replicas.top_k([1, 2, 3], k=5).ids.size == 5
+        finally:
+            replicas.close()
+
+
+class TestReplicaSearchAsync:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_concurrent_awaiters_share_one_walk(self, small_dataset, mode):
+        index = OnlineIndex.build(small_dataset, params=_params())
+        engine, replicas = _front_end(index, 2, mode)
         try:
             async def burst():
                 return await asyncio.gather(
@@ -192,10 +214,12 @@ class TestShardedSearchAsync:
             assert stats["dedup_hits_total"] == 5
         finally:
             engine.close()
+            replicas.close()
 
-    def test_mixed_k_and_oracle_equality(self, small_dataset):
+    @pytest.mark.parametrize("mode", MODES)
+    def test_mixed_k_and_oracle_equality(self, small_dataset, mode):
         index = OnlineIndex.build(small_dataset, params=_params())
-        engine = ShardedQueryEngine(index, 2, replicas=True, cache_size=0)
+        engine, replicas = _front_end(index, 2, mode, cache_size=0)
         oracle = QueryEngine(index, cache_size=0)
         try:
             async def burst():
@@ -210,11 +234,13 @@ class TestShardedSearchAsync:
         finally:
             engine.close()
             oracle.close()
+            replicas.close()
 
-    def test_async_dedup_survives_concurrent_mutations(self, small_dataset):
+    @pytest.mark.parametrize("mode", MODES)
+    def test_async_dedup_survives_concurrent_mutations(self, small_dataset, mode):
         """Bursts of awaiters race a mutator thread; answers stay sound."""
         index = OnlineIndex.build(small_dataset, params=_params())
-        engine = ShardedQueryEngine(index, 2, replicas=True)
+        engine, replicas = _front_end(index, 2, mode)
         stop = threading.Event()
 
         def mutate():
@@ -243,8 +269,12 @@ class TestShardedSearchAsync:
             stop.set()
             writer.join(timeout=30)
             engine.close()
-        assert not writer.is_alive()
-        assert engine.replica_set.stats()["resyncs_total"] == 0
+        try:
+            assert not writer.is_alive()
+            assert replicas.stats()["resyncs_total"] == 0
+            assert replicas.converged()
+        finally:
+            replicas.close()
 
 
 class TestSignupInvalidation:
@@ -264,21 +294,23 @@ class TestSignupInvalidation:
         finally:
             engine.close()
 
-    def test_sharded_partial_cache_gets_the_same_seeding(self, small_dataset):
+    @pytest.mark.parametrize("mode", MODES)
+    def test_replica_front_end_gets_the_same_seeding(self, small_dataset, mode):
         index = OnlineIndex.build(small_dataset, params=_params())
-        engine = ShardedQueryEngine(index, 2, replicas=True, k=5)
+        engine, replicas = _front_end(index, 2, mode, k=5)
         try:
             profile = small_dataset.profile(7)
             before = engine.search(profile)
             assert 7 in before.ids
             uid = index.add_user(profile)
-            after = engine.search(profile)
+            after = engine.search(profile)  # process replicas drain first
             assert after is not before
             assert uid in after.ids
         finally:
             engine.close()
+            replicas.close()
 
-    def test_unrelated_entries_still_survive_a_signup(self, small_dataset):
+    def test_unrelated_entries_still_survive_a_signup(self, small_dataset, tap):
         index = OnlineIndex.build(small_dataset, params=_params())
         engine = QueryEngine(index, k=5)
         try:
@@ -286,8 +318,9 @@ class TestSignupInvalidation:
             # A signup disjoint from the bystander's community: none of
             # its contacts appear in the cached answer, so it survives.
             contacts = set()
-            index.subscribe(
-                lambda e, u, d: contacts.update(x for uv in d for x in uv[:2])
+            tap(
+                index,
+                lambda d: contacts.update(x for uv in d.edges for x in uv[:2]),
             )
             fresh = small_dataset.n_items - 1
             index.add_user([fresh])
