@@ -2,7 +2,7 @@
 
 Pipeline: FastRandomHash clustering (+ recursive splitting) → parallel
 per-cluster KNN (brute force / Hyrec hybrid, largest-first schedule) →
-bounded-heap merge. Every similarity goes through the provided
+whole-graph top-k merge. Every similarity goes through the provided
 :class:`SimilarityEngine` (GoldFinger by default, exact for the
 Table V ablation).
 """

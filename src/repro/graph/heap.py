@@ -5,7 +5,9 @@ score)`` pairs keeping the ``k`` highest-scoring distinct neighbours
 seen so far. Rows are stored unordered in flat numpy arrays (ids +
 scores); with ``k ≈ 30`` a linear min-scan beats a real heap and the
 batch update path vectorises cleanly, which is what the greedy
-baselines and the C² merge step hammer on.
+algorithms (Hyrec, NN-Descent) and the online write path hammer on.
+The C² merge writes whole rows at once but reproduces the layout this
+class's ``push_batch`` gives them.
 """
 
 from __future__ import annotations
