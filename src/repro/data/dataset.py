@@ -14,7 +14,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["Dataset"]
+__all__ = ["Dataset", "gather_profiles"]
+
+
+def gather_profiles(items: np.ndarray, starts: np.ndarray, sizes: np.ndarray):
+    """CSR ``(indptr, indices)`` of the spans ``items[starts[i] : starts[i] + sizes[i]]``.
+
+    One vectorised gather, no per-profile loop: the online store's
+    snapshot and compaction and the one-to-many similarity kernels all
+    concatenate profiles through it.
+    """
+    indptr = np.zeros(sizes.size + 1, dtype=np.int64)
+    np.cumsum(sizes, out=indptr[1:])
+    total = int(indptr[-1])
+    offsets = np.repeat(starts - indptr[:-1], sizes) + np.arange(total, dtype=np.int64)
+    return indptr, items[offsets]
 
 
 @dataclass(frozen=True)
@@ -128,6 +142,14 @@ class Dataset:
     def profile(self, user: int) -> np.ndarray:
         """The sorted item ids of ``user``'s profile (a view, do not mutate)."""
         return self.indices[self.indptr[user] : self.indptr[user + 1]]
+
+    def profile_store(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(starts, items)``: ``P_u = items[starts[u] : starts[u] + |P_u|]``.
+
+        The accessor one-to-many kernels gather profiles through; the
+        online store serves the same pair from its item arena.
+        """
+        return self.indptr[:-1], self.indices
 
     def profile_set(self, user: int) -> set[int]:
         """``P_u`` as a Python set (convenience for tests and examples)."""

@@ -90,11 +90,49 @@ class KNNGraph:
         Reuses already-computed similarity values (Jaccard is
         symmetric), the same no-recompute discipline as the C² merge
         step; returns the number of lists that changed.
+
+        One array pass with exactly the effect of calling
+        :meth:`NeighborHeaps.push` ``(v, source, s)`` per candidate in
+        order — same slots, scores, count and journal entries: a row
+        already holding ``source`` keeps the higher score; otherwise
+        ``source`` replaces the row's first minimum slot if that slot
+        is empty or scores strictly lower. Candidates equal to
+        ``source`` are skipped. Each candidate must name a distinct
+        row (``ValueError`` otherwise), which is what makes the rows
+        independent and the pass order-free.
         """
-        changed = 0
-        for v, s in zip(cands, scores):
-            changed += bool(self.heaps.push(int(v), source, float(s)))
-        return changed
+        cands = np.asarray(cands, dtype=np.int64)
+        scores = np.asarray(scores, dtype=np.float64)
+        keep = cands != source
+        cands, scores = cands[keep], scores[keep]
+        if cands.size == 0:
+            return 0
+        ordered = np.sort(cands)
+        if (ordered[1:] == ordered[:-1]).any():
+            raise ValueError("offer_reverse candidates must be distinct")
+        heaps = self.heaps
+        row_ids = heaps.ids[cands]
+        row_scores = heaps.scores[cands]
+        hit = row_ids == source
+        present = hit.any(axis=1)
+        slot = np.where(present, hit.argmax(axis=1), row_scores.argmin(axis=1))
+        pos = np.arange(cands.size)
+        held = row_ids[pos, slot]
+        current = row_scores[pos, slot]
+        accept = np.where(
+            present, scores > current, (held == EMPTY) | ~(current >= scores)
+        )
+        rows, slot = cands[accept], slot[accept]
+        heaps.ids[rows, slot] = source
+        heaps.scores[rows, slot] = scores[accept]
+        if heaps.journal is not None:
+            source = int(source)
+            fresh = accept & ~present
+            for v, evicted in zip(cands[fresh].tolist(), held[fresh].tolist()):
+                if evicted != EMPTY:
+                    heaps.journal.append((v, evicted, False))
+                heaps.journal.append((v, source, True))
+        return int(accept.sum())
 
     def edge_count(self) -> int:
         """Number of directed edges currently stored."""

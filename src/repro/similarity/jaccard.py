@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..data.dataset import Dataset
+from ..data.dataset import Dataset, gather_profiles
 
 __all__ = [
     "jaccard_pair",
@@ -63,11 +63,12 @@ def profile_intersections(
     pass a precomputed :func:`profile_mask`), then intersection sizes
     for all ``others`` are gathered in a single fancy-indexing sweep
     over their concatenated profiles — the concatenation itself is a
-    vectorised CSR gather (`indptr`/`indices`), not a per-candidate
-    python loop. The profile need not belong to any user in the
-    dataset (the query-serving path scores out-of-index profiles);
-    items beyond the dataset's universe cannot intersect anything and
-    only count toward the union.
+    vectorised gather through ``dataset.profile_store()`` (the CSR
+    arrays of a :class:`Dataset`, the item arena of the online store),
+    not a per-candidate python loop. The profile need not belong to
+    any user in the dataset (the query-serving path scores
+    out-of-index profiles); items beyond the dataset's universe cannot
+    intersect anything and only count toward the union.
     """
     others = np.asarray(others, dtype=np.int64)
     sizes = dataset.profile_sizes[others]
@@ -76,18 +77,17 @@ def profile_intersections(
     if mask is None:
         mask = profile_mask(dataset, profile)
 
-    # Gather the others' concatenated profiles from the CSR view and
-    # count mask hits per segment.
-    indptr = np.zeros(others.size + 1, dtype=np.int64)
-    np.cumsum(sizes, out=indptr[1:])
-    total = int(indptr[-1])
-    if total == 0:
-        return np.zeros(others.size, dtype=np.int64), sizes
-    starts = dataset.indptr[others]
-    gather = np.repeat(starts - indptr[:-1], sizes) + np.arange(total, dtype=np.int64)
-    hits = mask[dataset.indices[gather]]
-    inter = np.add.reduceat(hits, indptr[:-1], dtype=np.int64)
-    inter[sizes == 0] = 0
+    starts, items = dataset.profile_store()
+    indptr, gathered = gather_profiles(items, starts[others], sizes)
+    # Count mask hits per non-empty segment only: an empty profile
+    # (tombstone) last in ``others`` starts at ``len(gathered)``, which
+    # ``reduceat`` rejects as out of bounds.
+    inter = np.zeros(others.size, dtype=np.int64)
+    if gathered.size:
+        nonempty = sizes > 0
+        inter[nonempty] = np.add.reduceat(
+            mask[gathered], indptr[:-1][nonempty], dtype=np.int64
+        )
     return inter, sizes
 
 
